@@ -1,19 +1,10 @@
 //! # iba-bench
 //!
-//! Criterion benchmarks for the iba-far workspace. Two families:
-//!
-//! * **component benches** — the simulator's hot paths (events/second on
-//!   a fixed workload) and the routing/topology construction pipeline,
-//!   guarding against performance regressions of the measurement
-//!   instrument itself;
-//! * **experiment benches** — one per paper artifact (`fig3`, `table1`,
-//!   `table2`, ablations), running tightly scaled-down versions of the
-//!   real experiment code so the full regeneration pipeline stays
-//!   exercised and timed by `cargo bench`.
-//!
-//! The *results* of the experiments (the numbers the paper reports) come
-//! from the `iba-experiments` binaries; these benches measure that the
-//! machinery runs and how fast.
+//! The simulator throughput harness: [`BenchFixture`] prepares a paper
+//! network once and runs it in each instrumentation mode, and the
+//! `bench_sim` binary times those runs into `BENCH_sim.json`. The
+//! repository benchmark (`benchmark/`, declared by `BENCHMARK.json`)
+//! carries the end-to-end workloads and the per-layer ledger.
 
 #![warn(missing_docs)]
 

@@ -13,13 +13,15 @@
 //! FIFO tie-break for simultaneous events that keeps simulations
 //! deterministic — and verified equivalent to it by property tests.
 //!
-//! **Measured verdict** (`cargo bench -p iba-bench`, `event_queue_hold`):
-//! on the simulator's actual access pattern — a small pending set (tens
-//! to hundreds of events) with tight time locality — the binary heap is
-//! ~3× faster (53 µs vs 171 µs per 1 000-event hold cycle). The calendar
-//! queue's constant factors (per-pop day scans, resampling resizes) only
-//! amortize on much larger pending sets than credit-gated VCT ever
-//! produces. The simulator therefore defaults to [`crate::EventQueue`],
+//! **Measured verdict** (`engine.queue_op_ns` against
+//! `engine.calendar_queue_op_ns` in a `--trace 1` run of the repository
+//! benchmark, `benchmark/`): on the simulator's actual access pattern —
+//! a hold model at the workload's pending depth (about 380 events on
+//! `uniform32-64sw`) with tight time locality — the binary heap is ~4.7×
+//! faster (38 ns vs 179 ns per pop-and-push on a 2-core AMD EPYC host).
+//! The calendar queue's constant factors (per-pop day scans, resampling
+//! resizes) only amortize on much larger pending sets than credit-gated
+//! VCT ever produces. The simulator therefore defaults to [`crate::EventQueue`],
 //! but can be switched onto this implementation through
 //! [`crate::DesQueue`] (`SimConfig::queue_backend` in `iba-sim`) — the
 //! `backend_equivalence` test over whole simulations shows the results

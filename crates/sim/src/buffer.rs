@@ -271,23 +271,6 @@ impl VlBuffer {
         true
     }
 
-    /// Attach the routing result to the oldest not-yet-routed residency
-    /// of `id` (compatibility shim for tests; the simulator uses
-    /// [`Self::set_route_at`]).
-    pub fn set_route(&mut self, id: PacketId, route: Arc<RouteOptions>) {
-        for i in 0..self.order.len() {
-            let slot = self.order[i] as usize;
-            let p = self.slots[slot]
-                .packet
-                .as_mut()
-                .expect("order entry occupied");
-            if p.packet.id == id && p.route.is_none() {
-                p.route = Some(route);
-                return;
-            }
-        }
-    }
-
     /// Re-resolve the route of every *routed, not in-flight* residency
     /// against a new forwarding function — the SM re-sweep hook: packets
     /// already buffered when recovery tables are installed were routed

@@ -59,7 +59,6 @@
 
 pub mod buffer;
 pub mod config;
-mod fib;
 pub mod metrics;
 pub mod network;
 pub mod perfetto;
@@ -79,8 +78,8 @@ pub use recorder::{
     classify_stall, FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts,
 };
 pub use stats::{
-    latency_class_label, LatencyHistogram, RunResult, StatsCollector, LATENCY_CLASSES,
-    RUN_RESULT_SCHEMA_VERSION, SOURCE_GROUPS,
+    latency_class_label, RunResult, StatsCollector, LATENCY_CLASSES, RUN_RESULT_SCHEMA_VERSION,
+    SOURCE_GROUPS,
 };
 pub use telemetry::{
     JsonLinesSink, MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts,

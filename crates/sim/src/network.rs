@@ -60,7 +60,6 @@
 //! table swap).
 
 use crate::config::{RecoveryPolicy, SimConfig};
-use crate::fib::FibCache;
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
 use crate::shard::{Mailbox, OutMsg, Shard};
@@ -144,7 +143,6 @@ pub struct NetworkBuilder<'a, E: EscapeEngine = UpDownRouting> {
     trace: Option<TraceOpts>,
     telemetry: Option<(TelemetryOpts, Box<dyn TelemetrySink>)>,
     recorder: Option<RecorderOpts>,
-    fib_ways: Option<usize>,
     shards: Option<usize>,
     threads: Option<usize>,
     metrics: bool,
@@ -240,20 +238,6 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     /// Requires the serial engine (the default [`Self::shards`] of 1).
     pub fn recorder(mut self, opts: RecorderOpts) -> Self {
         self.recorder = Some(opts);
-        self
-    }
-
-    /// Arm the hot-entry FIB cache: a direct-mapped cache of `ways`
-    /// recently routed destinations per switch, in front of the full
-    /// forwarding table. Purely observational — cached entries are
-    /// shared decodes of the live tables, so results are identical with
-    /// and without it; the run gains the [`RunResult::fib_hits`] /
-    /// [`RunResult::fib_misses`] counters that size how much table
-    /// bandwidth such a cache would absorb. Off by default (a disabled
-    /// cache costs one pointer-null check per routing, like the flight
-    /// recorder).
-    pub fn fib_cache(mut self, ways: usize) -> Self {
-        self.fib_ways = Some(ways);
         self
     }
 
@@ -375,14 +359,6 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             }
             if let Some(opts) = self.trace {
                 sh.tracer = Some(Tracer::with_opts(opts));
-            }
-            if let Some(ways) = self.fib_ways {
-                if ways == 0 {
-                    return Err(IbaError::InvalidConfig(
-                        "fib_cache needs at least one way per switch".into(),
-                    ));
-                }
-                sh.fib = Some(Box::new(FibCache::new(self.topo.num_switches(), ways)));
             }
             shards.push(sh);
         }
@@ -522,7 +498,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             trace: None,
             telemetry: None,
             recorder: None,
-            fib_ways: None,
             shards: None,
             threads: None,
             metrics: false,
@@ -560,11 +535,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// builder saw `shards(n > 1)`).
     pub fn parallel_mode(&self) -> bool {
         self.partition.is_some()
-    }
-
-    /// Whether the hot-entry FIB cache is armed.
-    pub fn fib_cache_enabled(&self) -> bool {
-        self.shards[0].fib.is_some()
     }
 
     /// Number of links currently down.

@@ -35,7 +35,6 @@
 
 use crate::buffer::{ReadPoint, SlotHandle, VlBuffer};
 use crate::config::{RecoveryPolicy, SelectionPolicy, SimConfig};
-use crate::fib::FibCache;
 use crate::recorder::{classify_stall, FlightRecorder, TriggerCause};
 use crate::stats::StatsCollector;
 use crate::telemetry::{StallCause, TelemetryState};
@@ -313,11 +312,6 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// Flight-recorder state; `None` (the default, and always in
     /// parallel mode) keeps every hook a single pointer-null check.
     pub(crate) recorder: Option<Box<FlightRecorder>>,
-    /// Hot-entry FIB cache over the forwarding path; `None` (the
-    /// default) keeps the routing hook a single pointer-null check.
-    /// Purely observational — cached entries are `Arc`-shared decodes
-    /// of the live tables, so results never depend on it.
-    pub(crate) fib: Option<Box<FibCache>>,
     /// Candidate-option verdicts of the most recent arbitration grant.
     /// Scratch reused across grants so `Decision` stays small — the
     /// ~100-byte option set is only written (and read back by
@@ -502,7 +496,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             recovery_routing: None,
             telemetry: None,
             recorder: None,
-            fib: None,
             decision_options: OptionOutcomes::new(),
             key_counters: vec![0; nsw + nh + 1],
             resync_pending: if parallel {
@@ -1318,10 +1311,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
             }
         }
-        // The table swap invalidates every cached FIB entry.
-        if let Some(fib) = self.fib.as_deref_mut() {
-            fib.flush();
-        }
         // Every freshly installed table set — degraded recovery tables or
         // the reinstated primaries — is certified deadlock-free before
         // traffic resumes on it.
@@ -1743,30 +1732,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let Some(dlid) = dlid else {
             return; // residency already gone (cannot happen before ready_at)
         };
-        let route = if let Some(fib) = self.fib.as_deref_mut() {
-            // Field-disjoint borrows: the cache is held mutably, so the
-            // live tables are resolved inline instead of via
-            // `cur_routing`.
-            let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-            match fib.lookup(sw, dlid) {
-                Some(route) => {
-                    self.stats.fib_hits += 1;
-                    route
-                }
-                None => {
-                    self.stats.fib_misses += 1;
-                    let route = routing
-                        .route_shared(sw, dlid)
-                        .expect("forwarding tables are fully programmed");
-                    fib.insert(sw, dlid, route.clone());
-                    route
-                }
-            }
-        } else {
-            self.cur_routing()
-                .route_shared(sw, dlid)
-                .expect("forwarding tables are fully programmed")
-        };
+        let route = self
+            .cur_routing()
+            .route_shared(sw, dlid)
+            .expect("forwarding tables are fully programmed");
         self.switches[sw.index()].inputs[port.index()].vls[vl.index()].set_route_at(handle, route);
         self.schedule_arbitrate(now, sw);
     }

@@ -12,20 +12,10 @@
 //! window (after warm-up) and delivered before the horizon; accepted
 //! traffic counts all bytes delivered inside the window.
 
-use iba_core::{
-    DropCause, HostId, Json, Lid, Packet, Pow2Histogram, RoutingMode, ServiceLevel, SimTime,
-};
+use iba_core::{DropCause, HostId, Json, Lid, Packet, RoutingMode, ServiceLevel, SimTime};
 use iba_stats::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// A latency histogram with power-of-two buckets: bucket `i` counts
-/// samples in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also holds 0 ns).
-///
-/// Since the primitives moved to `iba-core` (the telemetry layer shares
-/// them), this is the shared [`Pow2Histogram`] under its historical
-/// name.
-pub type LatencyHistogram = Pow2Histogram;
 
 /// Number of per-workload-class latency histograms a collector keeps:
 /// 2 routing modes × [`SOURCE_GROUPS`] source groups.
@@ -116,10 +106,6 @@ pub struct StatsCollector {
     escape_certifications: u64,
     escape_cert_failures: u64,
     recovery_ns: Option<u64>,
-    /// Forwarding lookups answered by the hot-entry FIB cache.
-    pub fib_hits: u64,
-    /// Forwarding lookups that missed the FIB cache (0 when disabled).
-    pub fib_misses: u64,
 }
 
 /// Per-flow in-order tracker: one past the highest sequence number
@@ -217,8 +203,6 @@ impl StatsCollector {
             escape_certifications: 0,
             escape_cert_failures: 0,
             recovery_ns: None,
-            fib_hits: 0,
-            fib_misses: 0,
         }
     }
 
@@ -403,8 +387,6 @@ impl StatsCollector {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.fib_hits += other.fib_hits;
-        self.fib_misses += other.fib_misses;
     }
 
     /// Finalize into a [`RunResult`], given the number of switches, the
@@ -466,8 +448,6 @@ impl StatsCollector {
             recovery_time_ns: self.recovery_ns,
             resweeps: self.resweeps,
             resweeps_failed: self.resweeps_failed,
-            fib_hits: self.fib_hits,
-            fib_misses: self.fib_misses,
             events,
             wall_time_s,
             events_per_sec: if wall_time_s > 0.0 {
@@ -497,7 +477,7 @@ impl StatsCollector {
 /// History: 1 → 2 added `duplicate_deliveries`, the per-cause transit
 /// drop counters (`drops_link_down` / `drops_switch_down` /
 /// `drops_corrupted`) and the escape-certification counters. 2 → 3
-/// added the FIB-cache counters (`fib_hits` / `fib_misses`) and
+/// added the FIB-cache hit/miss counters and
 /// re-pinned `recovery_time_ns` to fault → last successful LFT
 /// reprogramming (previously fault → first post-install delivery,
 /// which made the value depend on the traffic pattern). 3 → 4 added
@@ -505,9 +485,11 @@ impl StatsCollector {
 /// percentiles from the log-linear latency histogram
 /// (`iba_stats::LogHistogram`, relative error ≤ 1/32 at the default
 /// precision; previously power-of-two upper bucket bounds, i.e. up to
-/// 2× overestimates). v3 files still parse via
-/// [`RunResult::from_json`] — the fields v4 added read back as `None`.
-pub const RUN_RESULT_SCHEMA_VERSION: u32 = 4;
+/// 2× overestimates). 4 → 5 removed the FIB-cache counters with the
+/// cache itself (it never changed a result). v3 and v4 files still
+/// parse via [`RunResult::from_json`] — a v3 file's missing
+/// p90/p999 read back as `None`, and the FIB counters are ignored.
+pub const RUN_RESULT_SCHEMA_VERSION: u32 = 5;
 
 /// The outcome of one simulation run.
 ///
@@ -603,12 +585,6 @@ pub struct RunResult {
     /// SM re-sweeps abandoned because the degraded fabric was
     /// disconnected.
     pub resweeps_failed: u64,
-    /// Forwarding lookups answered by the hot-entry FIB cache (0 when
-    /// the cache is disabled).
-    pub fib_hits: u64,
-    /// Forwarding lookups that consulted the full table because the
-    /// FIB cache missed (0 when the cache is disabled).
-    pub fib_misses: u64,
     /// Discrete events processed.
     pub events: u64,
     /// Wall-clock seconds the event loop ran (host-machine measurement,
@@ -654,8 +630,6 @@ impl PartialEq for RunResult {
             && self.recovery_time_ns == other.recovery_time_ns
             && self.resweeps == other.resweeps
             && self.resweeps_failed == other.resweeps_failed
-            && self.fib_hits == other.fib_hits
-            && self.fib_misses == other.fib_misses
             && self.events == other.events
     }
 }
@@ -723,20 +697,19 @@ impl RunResult {
             ("recovery_time_ns", Json::from(self.recovery_time_ns)),
             ("resweeps", Json::from(self.resweeps)),
             ("resweeps_failed", Json::from(self.resweeps_failed)),
-            ("fib_hits", Json::from(self.fib_hits)),
-            ("fib_misses", Json::from(self.fib_misses)),
             ("events", Json::from(self.events)),
             ("wall_time_s", Json::from(self.wall_time_s)),
             ("events_per_sec", Json::from(self.events_per_sec)),
         ])
     }
 
-    /// Parse a [`Self::to_json`] document back. Accepts schema v3 and
-    /// v4: a v3 file simply lacks `p90_latency_ns`/`p999_latency_ns`,
+    /// Parse a [`Self::to_json`] document back. Accepts schemas v3 to
+    /// v5: a v3 file simply lacks `p90_latency_ns`/`p999_latency_ns`,
     /// which read back as `None` (v3's p50/p99 were coarser power-of-two
     /// bounds, but the field meaning — "latency percentile in ns, `None`
-    /// when nothing was measured" — is unchanged). `None` on any other
-    /// version or a malformed document.
+    /// when nothing was measured" — is unchanged), and the FIB-cache
+    /// counters of v3 and v4 are ignored. `None` on any other version or
+    /// a malformed document.
     pub fn from_json(j: &Json) -> Option<RunResult> {
         let schema_version = j.get("schema_version")?.as_u64()? as u32;
         if !(3..=RUN_RESULT_SCHEMA_VERSION).contains(&schema_version) {
@@ -778,8 +751,6 @@ impl RunResult {
             recovery_time_ns: opt_u64("recovery_time_ns"),
             resweeps: req_u64("resweeps")?,
             resweeps_failed: req_u64("resweeps_failed")?,
-            fib_hits: req_u64("fib_hits")?,
-            fib_misses: req_u64("fib_misses")?,
             events: req_u64("events")?,
             wall_time_s: f64_or_nan("wall_time_s"),
             events_per_sec: f64_or_nan("events_per_sec"),
@@ -879,33 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        assert!(h.quantile(0.5).is_none());
-        for lat in [100u64, 200, 400, 800, 100_000] {
-            h.record(lat);
-        }
-        assert_eq!(h.count(), 5);
-        // Median sample is 400 → bucket [256, 512) → upper bound 512.
-        assert_eq!(h.quantile(0.5), Some(512));
-        // Tail: 100_000 → bucket [65536, 131072) → upper bound 131072.
-        assert_eq!(h.quantile(1.0), Some(131072));
-        // Quantiles are monotone.
-        assert!(h.quantile(0.2) <= h.quantile(0.9));
-    }
-
-    #[test]
-    fn histogram_edge_samples() {
-        let mut h = LatencyHistogram::new();
-        h.record(0);
-        h.record(1);
-        assert_eq!(h.quantile(1.0), Some(2)); // both in bucket 0 → bound 2
-        let mut big = LatencyHistogram::new();
-        big.record(u64::MAX);
-        assert_eq!(big.quantile(0.5), Some(u64::MAX));
-    }
-
-    #[test]
     fn percentiles_flow_into_run_result() {
         let mut c = collector();
         c.on_delivered(&packet(1, true, 1100), SimTime::from_ns(1400));
@@ -982,15 +926,15 @@ mod tests {
         // PartialEq ignores the wall-clock fields, exactly what a
         // round-trip should preserve bit-for-bit.
         assert_eq!(back, r);
-        assert_eq!(back.schema_version, 4);
+        assert_eq!(back.schema_version, 5);
         assert_eq!(back.p90_latency_ns, r.p90_latency_ns);
         assert_eq!(back.p999_latency_ns, r.p999_latency_ns);
     }
 
     #[test]
     fn run_result_v3_files_still_parse() {
-        // A v3 document as PR 7 wrote it: no p90/p999 fields, p50/p99
-        // as power-of-two bounds.
+        // A v3 document: no p90/p999 fields, p50/p99 as power-of-two
+        // bounds, and the since-removed FIB-cache counters.
         let v3 = r#"{"schema_version":3,"generated":10,"injected":9,"delivered":8,
             "avg_latency_ns":350.5,"max_latency_ns":800,"p50_latency_ns":512,
             "p99_latency_ns":1024,"measured_packets":8,
@@ -1011,6 +955,22 @@ mod tests {
         assert_eq!(r.p90_latency_ns, None);
         assert_eq!(r.p999_latency_ns, None);
         assert_eq!(r.events, 123);
+        // A v4 document still carries the FIB counters next to the four
+        // log-linear percentiles; it parses at v5 with the counters
+        // ignored.
+        let v4 = v3
+            .replace(r#""schema_version":3"#, r#""schema_version":4"#)
+            .replace(
+                r#""p50_latency_ns":512,"#,
+                r#""p50_latency_ns":340,"p90_latency_ns":700,"p999_latency_ns":800,"#,
+            );
+        let r4 = RunResult::from_json(&Json::parse(&v4).unwrap()).unwrap();
+        assert_eq!(r4.schema_version, 4);
+        assert_eq!(r4.p50_latency_ns, Some(340));
+        assert_eq!(r4.p90_latency_ns, Some(700));
+        assert_eq!(r4.p999_latency_ns, Some(800));
+        assert_eq!(r4.events, 123);
+        assert!(!r4.to_json().to_string_compact().contains("fib_"));
         // Unknown future versions are rejected, not misread.
         let v9 = v3.replace(r#""schema_version":3"#, r#""schema_version":9"#);
         assert!(RunResult::from_json(&Json::parse(&v9).unwrap()).is_none());
@@ -1145,23 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn fib_counters_flow_into_run_result_and_merge() {
-        let mut a = collector();
-        a.fib_hits = 10;
-        a.fib_misses = 3;
-        let mut b = collector();
-        b.fib_hits = 5;
-        b.fib_misses = 1;
-        a.merge(&b);
-        let r = a.finish(4, 0, Duration::ZERO);
-        assert_eq!(r.fib_hits, 15);
-        assert_eq!(r.fib_misses, 4);
-        let json = r.to_json().to_string_compact();
-        assert!(json.contains(r#""fib_hits":15"#));
-        assert!(json.contains(r#""fib_misses":4"#));
-    }
-
-    #[test]
     fn faultless_run_reports_no_recovery() {
         let r = collector().finish(4, 0, Duration::ZERO);
         assert_eq!(r.faults_injected, 0);
@@ -1177,7 +1120,7 @@ mod tests {
         let r = c.finish(4, 10, Duration::ZERO);
         assert_eq!(r.schema_version, RUN_RESULT_SCHEMA_VERSION);
         let json = r.to_json().to_string_compact();
-        assert!(json.starts_with(r#"{"schema_version":4,"#));
+        assert!(json.starts_with(r#"{"schema_version":5,"#));
         assert!(json.contains(r#""delivered":1"#));
         assert!(json.contains(r#""events":10"#));
         // NaN-valued aggregates render as null, not as invalid JSON.

@@ -22,7 +22,8 @@
 //!   [`crate::RunResult::escape_fraction`]);
 //! * **arbitration-wait histograms** — per switch, the simulated
 //!   nanoseconds from a packet becoming arbitration-eligible
-//!   (`ready_at`) to its crossbar grant, in power-of-two buckets.
+//!   (`ready_at`) to its crossbar grant, in a log-linear
+//!   [`LogHistogram`] (quantiles within 2⁻⁵ of the exact value).
 //!
 //! Samples and the final report flow through a pluggable
 //! [`TelemetrySink`]: [`MemorySink`] keeps everything in memory for
@@ -34,12 +35,17 @@
 //! hook and schedules no extra events.
 
 use crate::buffer::VlBuffer;
-use iba_core::{Credits, Json, PortIndex, Pow2Histogram, SimTime, SwitchId, VirtualLane};
+use iba_core::{Credits, Json, PortIndex, SimTime, SwitchId, VirtualLane};
+use iba_stats::LogHistogram;
 
 /// Version stamp of the telemetry sink schema. Bump on any change to
 /// the JSON layout emitted by [`TelemetrySample::to_json`] /
 /// [`TelemetryReport::to_json`].
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+///
+/// History: 1 → 2 moved `arb_wait_ns` from power-of-two buckets
+/// (`[[upper_bound, count], ...]`) to the log-linear
+/// [`LogHistogram::to_json`] object.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Telemetry configuration: what cadence to sample occupancy at and how
 /// many samples to keep.
@@ -232,7 +238,7 @@ pub struct SwitchTelemetry {
     pub stalls: Vec<PortStalls>,
     /// Ready-to-grant wait in simulated nanoseconds, over every grant
     /// this switch made.
-    pub arb_wait_ns: Pow2Histogram,
+    pub arb_wait_ns: LogHistogram,
 }
 
 impl SwitchTelemetry {
@@ -242,7 +248,7 @@ impl SwitchTelemetry {
             adaptive_forwards: 0,
             escape_forwards: 0,
             stalls: vec![PortStalls::default(); ports],
-            arb_wait_ns: Pow2Histogram::new(),
+            arb_wait_ns: LogHistogram::new(),
         }
     }
 
@@ -291,7 +297,7 @@ impl TelemetryReport {
 
     /// Fabric-wide arbitration-wait quantile (merged over switches).
     pub fn arb_wait_quantile(&self, q: f64) -> Option<u64> {
-        let mut merged = Pow2Histogram::new();
+        let mut merged = LogHistogram::new();
         for s in &self.switches {
             merged.merge(&s.arb_wait_ns);
         }
@@ -616,7 +622,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains(r#""kind":"header""#));
-        assert!(lines[0].contains(r#""schema_version":1"#));
+        assert!(lines[0].contains(r#""schema_version":2"#));
         assert!(lines[1].contains(r#""kind":"sample""#));
     }
 
@@ -655,9 +661,12 @@ mod tests {
         assert_eq!(report.total_stalls(StallCause::NoEscapeCredit), 7);
         assert_eq!(report.total_stalls(StallCause::DeadPort), 1);
         assert_eq!(report.total_forwards(), (10, 5));
-        assert_eq!(report.arb_wait_quantile(1.0), Some(1024));
+        // Log-linear bound: never below the true 1000 ns, and at most
+        // 2⁻⁵ above it.
+        let top = report.arb_wait_quantile(1.0).unwrap();
+        assert!((1000..=1000 + 1000 / 32).contains(&top), "{top}");
         let json = report.to_json().to_string_compact();
-        assert!(json.contains(r#""schema_version":1"#));
+        assert!(json.contains(r#""schema_version":2"#));
         assert!(json.contains(r#""no_escape_credit":7"#));
     }
 

@@ -279,4 +279,11 @@ fn parallel_rejects_serial_only_subsystems() {
         .shards(2)
         .build();
     assert!(resweep.is_err(), "SmResweep must require shards = 1");
+    let serial = Network::builder(&topo, &fa)
+        .workload(WorkloadSpec::uniform32(0.02))
+        .config(SimConfig::test(5))
+        .faults(&schedule, RecoveryPolicy::SmResweep, 2_000)
+        .shards(1)
+        .build();
+    assert!(serial.is_ok(), "the same schedule is accepted on shards(1)");
 }
