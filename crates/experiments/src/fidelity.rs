@@ -78,10 +78,15 @@ impl Fidelity {
 }
 
 /// `steps` points from `lo` to `hi`, geometrically spaced.
+///
+/// `powf`, not `powi`: the compiler folds a constant `powi` through
+/// libm `pow` but lowers a runtime one to repeated multiplication, so
+/// the grid's last bits (and every artifact that prints them) would
+/// depend on inlining. `powf` is the same `pow` on both paths.
 pub fn geometric_grid(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
     assert!(steps >= 2 && lo > 0.0 && hi > lo);
     let ratio = (hi / lo).powf(1.0 / (steps - 1) as f64);
-    (0..steps).map(|i| lo * ratio.powi(i as i32)).collect()
+    (0..steps).map(|i| lo * ratio.powf(i as f64)).collect()
 }
 
 #[cfg(test)]
@@ -118,5 +123,15 @@ mod tests {
         assert!((g[0] - 0.01).abs() < 1e-12);
         assert!((g[4] - 0.16).abs() < 1e-9);
         assert!((g[2] - 0.04).abs() < 1e-9); // exact midpoint of ×2 steps
+    }
+
+    #[test]
+    fn grid_bits_do_not_depend_on_the_build() {
+        // results/engine_zoo.json prints these in full. A runtime `powi`
+        // (as in a debug build) gave 0.026164364507314103 and
+        // 0.6999999999999997 here.
+        let g = std::hint::black_box(Fidelity::Quick).curve_grid();
+        assert_eq!(g[4].to_bits(), 0.0261643645073141f64.to_bits());
+        assert_eq!(g[11].to_bits(), 0.6999999999999996f64.to_bits());
     }
 }

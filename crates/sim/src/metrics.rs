@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn run_metrics_fill_is_deterministic_data_only() {
-        let mut stats = StatsCollector::new(SimTime::from_ns(0), SimTime::from_ns(10_000), 4, 16);
+        let mut stats = StatsCollector::new(SimTime::from_ns(0), SimTime::from_ns(10_000), 4);
         stats.on_generated(SimTime::from_ns(100));
         let result = stats.finish(4, 42, Duration::from_millis(1));
         let mut a = MetricsRegistry::new();

@@ -85,7 +85,6 @@ use std::time::Duration;
 /// docs for the execution model).
 pub struct Network<'a, E: EscapeEngine = UpDownRouting> {
     topo: &'a Topology,
-    routing: &'a FaRouting<E>,
     config: SimConfig,
     /// `None` selects the serial engine; `Some` the parallel engine.
     partition: Option<Arc<Partition>>,
@@ -400,7 +399,6 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
 
         Ok(Network {
             topo: self.topo,
-            routing: self.routing,
             config,
             partition,
             threads,
@@ -1027,20 +1025,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// half.
     pub fn metrics_registry(&self, result: &RunResult) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        if self.partition.is_none() {
-            fill_run_metrics(&mut reg, result, &self.shards[0].stats);
-        } else {
-            let mut merged = StatsCollector::new(
-                self.config.warmup,
-                self.config.horizon(),
-                self.topo.num_hosts(),
-                self.routing.lid_map().table_len(),
-            );
-            for sh in &self.shards {
-                merged.merge(&sh.stats);
-            }
-            fill_run_metrics(&mut reg, result, &merged);
-        }
+        fill_run_metrics(&mut reg, result, &self.merged_stats());
         if let Some(mem) = self.telemetry_sink().and_then(|s| s.as_memory()) {
             if let Some(sample) = mem.samples().last() {
                 for o in &sample.occupancy {
@@ -1164,25 +1149,25 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         }
     }
 
-    /// The run result: shard 0's collector in the serial engine, the
-    /// deterministic merge of every shard's collector in the parallel
-    /// engine.
-    fn merged_result(&self, events: u64, wall: Duration) -> RunResult {
-        if self.partition.is_none() {
-            return self.shards[0]
-                .stats
-                .finish(self.topo.num_switches(), events, wall);
-        }
+    /// The deterministic merge of every shard's collector. In the serial
+    /// engine this is a copy of its one collector: every merge rule is
+    /// exact against an empty collector.
+    fn merged_stats(&self) -> StatsCollector {
         let mut merged = StatsCollector::new(
             self.config.warmup,
             self.config.horizon(),
             self.topo.num_hosts(),
-            self.routing.lid_map().table_len(),
         );
         for sh in &self.shards {
             merged.merge(&sh.stats);
         }
-        merged.finish(self.topo.num_switches(), events, wall)
+        merged
+    }
+
+    /// The run result, from [`Self::merged_stats`].
+    fn merged_result(&self, events: u64, wall: Duration) -> RunResult {
+        self.merged_stats()
+            .finish(self.topo.num_switches(), events, wall)
     }
 
     /// Whether every buffer is empty, every credit counter restored to

@@ -459,12 +459,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             queue: DesQueue::with_capacity(config.queue_backend, est_events),
             switches,
             hosts,
-            stats: StatsCollector::new(
-                config.warmup,
-                horizon,
-                topo.num_hosts(),
-                routing.lid_map().table_len(),
-            ),
+            stats: StatsCollector::new(config.warmup, horizon, topo.num_hosts()),
             next_packet_id: 0,
             arb_rng: root.derive(StreamKind::Arbiter),
             switch_arb_rngs: if parallel {

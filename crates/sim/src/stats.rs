@@ -15,6 +15,7 @@
 use iba_core::{DropCause, HostId, Json, Lid, Packet, RoutingMode, ServiceLevel, SimTime};
 use iba_stats::LogHistogram;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Number of per-workload-class latency histograms a collector keeps:
@@ -117,57 +118,30 @@ pub struct StatsCollector {
 /// each address is a distinct fixed path); different SLs may ride
 /// different VLs and overtake freely.
 ///
-/// The key space is small and dense — sources × the LID table length ×
-/// 16 service levels — so the tracker is a flat array indexed by
-/// `(src, dlid, sl)` rather than a hash map: the per-delivery update is
-/// one multiply-add and one store, with no hashing in the event loop.
-/// Storing `seq + 1` keeps `0` as an unambiguous "nothing delivered
-/// yet" — a re-delivery of sequence 0 is detectable as a duplicate
-/// instead of colliding with the empty sentinel.
-#[derive(Debug)]
+/// Sparse: one entry per deterministic flow that was actually
+/// delivered, keyed by the packed `(src, dlid, sl)`. Memory is linear in
+/// the deterministic flows a run delivers — nothing for a fully adaptive
+/// run — instead of in `hosts × LIDs × 16 SLs`, and the hash is paid on
+/// deterministic deliveries only. Storing `seq + 1` keeps a missing
+/// entry (`0`) an unambiguous "nothing delivered yet" — a re-delivery
+/// of sequence 0 is detectable as a duplicate.
+#[derive(Debug, Default)]
 struct OrderTracker {
-    /// `sources * lid_space * 16` entries, lazily grown if a flow outside
-    /// the declared dimensions ever shows up.
-    last: Vec<u64>,
-    /// LIDs per source stripe (the routing table length).
-    lid_space: usize,
+    last: HashMap<u64, u64>,
 }
 
 impl OrderTracker {
-    const SLS: usize = 16;
-
-    fn new(num_hosts: usize, lid_space: usize) -> OrderTracker {
-        let lid_space = lid_space.max(1);
-        OrderTracker {
-            last: vec![0; num_hosts * lid_space * Self::SLS],
-            lid_space,
-        }
-    }
-
     #[inline]
     fn slot(&mut self, src: HostId, dlid: Lid, sl: ServiceLevel) -> &mut u64 {
-        let idx = (src.index() * self.lid_space + dlid.0 as usize) * Self::SLS
-            + (sl.0 as usize & (Self::SLS - 1));
-        if idx >= self.last.len() {
-            // A flow outside the declared dimensions (only reachable when
-            // the collector was built with placeholder dims, e.g. unit
-            // tests): grow instead of corrupting a neighbour's slot.
-            self.last.resize(idx + 1, 0);
-        }
-        &mut self.last[idx]
+        let key = (src.0 as u64) << 20 | (dlid.0 as u64) << 4 | (sl.0 as u64 & 0xf);
+        self.last.entry(key).or_insert(0)
     }
 }
 
 impl StatsCollector {
-    /// Collector for a `[window_start, window_end)` measurement window.
-    /// `num_hosts` and `lid_space` (the routing-table length) size the
-    /// dense in-order tracker.
-    pub fn new(
-        window_start: SimTime,
-        window_end: SimTime,
-        num_hosts: usize,
-        lid_space: usize,
-    ) -> StatsCollector {
+    /// Collector for a `[window_start, window_end)` measurement window
+    /// over `num_hosts` sources (for the source-group latency classes).
+    pub fn new(window_start: SimTime, window_end: SimTime, num_hosts: usize) -> StatsCollector {
         StatsCollector {
             window_start,
             window_end,
@@ -187,7 +161,7 @@ impl StatsCollector {
             adaptive_forwards: 0,
             max_host_queue: 0,
             source_drops: 0,
-            last_det_seq: OrderTracker::new(num_hosts, lid_space),
+            last_det_seq: OrderTracker::default(),
             order_violations: 0,
             duplicate_deliveries: 0,
             faults: 0,
@@ -323,12 +297,15 @@ impl StatsCollector {
         }
     }
 
-    /// Fold another collector (same window and tracker dimensions) into
-    /// this one — how the parallel engine combines shard-local
-    /// statistics. Counters sum; extrema take the max; first-occurrence
-    /// times take the min; the order trackers merge elementwise (each
-    /// flow's delivered-through watermark lives in exactly one shard, so
-    /// elementwise max is exact).
+    /// Fold another collector (same window) into this one — how the
+    /// parallel engine combines shard-local statistics. Counters sum;
+    /// extrema take the max; first-occurrence times take the min.
+    ///
+    /// The order trackers are not merged. Every flow is delivered in
+    /// exactly one shard — the one that owns its destination host — so
+    /// its order violations and duplicates are already counted there and
+    /// sum like any other counter. The tracker's only reader is
+    /// [`Self::on_delivered`], which never runs on a merged collector.
     pub(crate) fn merge(&mut self, other: &StatsCollector) {
         debug_assert_eq!(self.window_start, other.window_start);
         debug_assert_eq!(self.window_end, other.window_end);
@@ -349,19 +326,6 @@ impl StatsCollector {
         self.adaptive_forwards += other.adaptive_forwards;
         self.max_host_queue = self.max_host_queue.max(other.max_host_queue);
         self.source_drops += other.source_drops;
-        if self.last_det_seq.last.len() < other.last_det_seq.last.len() {
-            self.last_det_seq
-                .last
-                .resize(other.last_det_seq.last.len(), 0);
-        }
-        for (mine, theirs) in self
-            .last_det_seq
-            .last
-            .iter_mut()
-            .zip(other.last_det_seq.last.iter())
-        {
-            *mine = (*mine).max(*theirs);
-        }
         self.order_violations += other.order_violations;
         self.duplicate_deliveries += other.duplicate_deliveries;
         self.faults += other.faults;
@@ -779,7 +743,7 @@ mod tests {
     }
 
     fn collector() -> StatsCollector {
-        StatsCollector::new(SimTime::from_ns(1000), SimTime::from_ns(2000), 4, 16)
+        StatsCollector::new(SimTime::from_ns(1000), SimTime::from_ns(2000), 4)
     }
 
     #[test]
@@ -892,7 +856,7 @@ mod tests {
 
     #[test]
     fn class_histograms_split_by_mode_and_source_group() {
-        let mut c = StatsCollector::new(SimTime::from_ns(1000), SimTime::from_ns(2000), 8, 16);
+        let mut c = StatsCollector::new(SimTime::from_ns(1000), SimTime::from_ns(2000), 8);
         // src 0 → group 0; adaptive vs deterministic split on DLID bit.
         let mut adaptive = packet(1, true, 1100);
         adaptive.src = HostId(0);
@@ -1031,6 +995,89 @@ mod tests {
             r2.drops_in_transit,
             r2.drops_link_down + r2.drops_switch_down + r2.drops_corrupted
         );
+    }
+
+    /// A packet of flow `(src, dlid, sl)`; the DLID's low bit picks the
+    /// routing mode, as everywhere else.
+    fn flow_packet(src: u16, dlid: u16, sl: u8, seq: u64) -> Packet {
+        Packet {
+            src: HostId(src),
+            dlid: Lid(dlid),
+            sl: ServiceLevel(sl),
+            ..packet(seq, false, 1100)
+        }
+    }
+
+    #[test]
+    fn adaptive_only_deliveries_leave_the_tracker_empty() {
+        let mut c = collector();
+        for seq in 0..100 {
+            c.on_delivered(
+                &flow_packet(seq as u16 % 4, 2 * seq as u16 + 1, 0, seq),
+                SimTime::from_ns(1200),
+            );
+        }
+        assert_eq!(c.delivered, 100);
+        assert!(c.last_det_seq.last.is_empty());
+    }
+
+    #[test]
+    fn tracker_holds_one_entry_per_delivered_deterministic_flow() {
+        let mut c = collector();
+        let flows = [(0, 8, 0), (0, 8, 1), (0, 10, 0), (1, 8, 0), (3, 8, 15)];
+        for seq in 0..5 {
+            for &(src, dlid, sl) in &flows {
+                c.on_delivered(&flow_packet(src, dlid, sl, seq), SimTime::from_ns(1200));
+            }
+            // Adaptive traffic between the same endpoints adds nothing.
+            c.on_delivered(&flow_packet(0, 9, 0, seq), SimTime::from_ns(1200));
+        }
+        assert_eq!(c.last_det_seq.last.len(), flows.len());
+        assert_eq!((c.order_violations, c.duplicate_deliveries), (0, 0));
+    }
+
+    #[test]
+    fn order_checks_hold_for_dlids_beyond_any_table() {
+        // No table length bounds the key: the largest unicast-range
+        // deterministic DLID from the largest source index works, and
+        // does not alias a flow that differs only in the high bits.
+        let mut c = collector();
+        let (src, dlid) = (u16::MAX, 0xbffe);
+        c.on_delivered(&flow_packet(src, dlid, 7, 3), SimTime::from_ns(1200));
+        c.on_delivered(&flow_packet(src, dlid, 7, 3), SimTime::from_ns(1300));
+        c.on_delivered(&flow_packet(src, dlid, 7, 2), SimTime::from_ns(1400));
+        assert_eq!((c.duplicate_deliveries, c.order_violations), (1, 1));
+        c.on_delivered(&flow_packet(src - 1, dlid, 7, 0), SimTime::from_ns(1500));
+        c.on_delivered(&flow_packet(src, dlid - 2, 7, 0), SimTime::from_ns(1500));
+        assert_eq!((c.duplicate_deliveries, c.order_violations), (1, 1));
+        assert_eq!(c.last_det_seq.last.len(), 3);
+    }
+
+    #[test]
+    fn merge_sums_order_counters_without_merging_trackers() {
+        // Two shards, each owning the destinations of its flows.
+        let mut a = collector();
+        a.on_delivered(&flow_packet(0, 8, 0, 1), SimTime::from_ns(1200));
+        a.on_delivered(&flow_packet(0, 8, 0, 0), SimTime::from_ns(1300));
+        let mut b = collector();
+        b.on_delivered(&flow_packet(1, 10, 0, 4), SimTime::from_ns(1200));
+        b.on_delivered(&flow_packet(1, 10, 0, 4), SimTime::from_ns(1300));
+        b.on_delivered(&flow_packet(1, 10, 0, 2), SimTime::from_ns(1400));
+        let mut merged = collector();
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!(merged.delivered, a.delivered + b.delivered);
+        assert_eq!(
+            merged.order_violations,
+            a.order_violations + b.order_violations
+        );
+        assert_eq!(merged.order_violations, 2);
+        assert_eq!(
+            merged.duplicate_deliveries,
+            a.duplicate_deliveries + b.duplicate_deliveries
+        );
+        assert_eq!(merged.duplicate_deliveries, 1);
+        assert!(merged.last_det_seq.last.is_empty());
     }
 
     #[test]

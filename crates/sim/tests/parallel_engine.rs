@@ -140,6 +140,31 @@ fn parallel_results_invariant_in_shard_count() {
 }
 
 #[test]
+fn parallel_results_invariant_in_shard_count_with_deterministic_traffic() {
+    // The golden scenario is fully adaptive, so its trackers stay empty.
+    // Half-deterministic traffic populates every shard's tracker; the
+    // order counters are summed per shard, not re-derived from merged
+    // trackers, and must still agree across partitions.
+    let run = |shards| {
+        let topo = IrregularConfig::paper(8, 42).generate().unwrap();
+        let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+        let mut net = Network::builder(&topo, &routing)
+            .workload(WorkloadSpec::uniform32(0.02).with_adaptive_fraction(0.5))
+            .config(SimConfig::test(7))
+            .shards(shards)
+            .build()
+            .unwrap();
+        net.run()
+    };
+    let two = run(2);
+    let four = run(4);
+    assert_eq!(two, four, "partition count leaked into the results");
+    assert!(two.delivered > 0);
+    assert_eq!(two.order_violations, 0);
+    assert_eq!(two.duplicate_deliveries, 0);
+}
+
+#[test]
 fn parallel_results_invariant_across_threads_and_backends() {
     let base = run_golden_scenario(4, 1, QueueBackend::BinaryHeap);
     for (threads, backend) in [
