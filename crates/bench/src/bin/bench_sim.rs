@@ -114,6 +114,20 @@ fn run_once(fixture: &BenchFixture, backend: QueueBackend, seed: u64, mode: Mode
     }
 }
 
+/// `model name` of the first CPU in `/proc/cpuinfo` (`"unknown"` where
+/// there is none), so the artifact names the host it was measured on.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                let (key, value) = l.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
     xs[xs.len() / 2]
@@ -223,6 +237,7 @@ fn main() {
         ("injection_rate_bytes_per_ns", Json::from(INJECTION_RATE)),
         ("runs_per_backend", Json::from(RUNS)),
         ("available_parallelism", Json::from(cores)),
+        ("cpu_model", Json::from(cpu_model())),
         ("results", Json::Arr(results)),
         ("shard_scaling", Json::Arr(scaling)),
     ])

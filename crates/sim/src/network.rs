@@ -1200,7 +1200,9 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// live attachment must be back at capacity. Returns one
     /// human-readable line per violation (empty means conserved); ports
     /// still masked by an open fault window are skipped, since their
-    /// counters are only re-synchronized when the link retrains.
+    /// counters are only re-synchronized when the link retrains. A
+    /// switch whose arbitration occupancy index disagrees with its
+    /// buffers is reported as well, at any point in a run.
     pub fn credit_audit(&self) -> Vec<String> {
         let mut out = Vec::new();
         for si in 0..self.topo.num_switches() {

@@ -198,6 +198,12 @@ struct SwitchState {
     sl2vl: SlToVlTable,
     arb_pending: bool,
     rr_cursor: usize,
+    /// Occupancy index: bit `p` is set while any VL buffer of input `p`
+    /// holds a packet, so arbitration sweeps only inputs with something
+    /// to forward. Maintained where buffer membership changes — the push
+    /// in `on_header_arrive` and the `remove_at` in `on_tx_done`; fault,
+    /// corruption and reroute paths never add or remove buffered packets.
+    occupied_inputs: u128,
     /// Per-port link state; `false` masks the port out of every feasible
     /// option set at arbitration. Derived cache of `down_depth == 0` so
     /// the hot path stays a single bool load. A host-facing port goes
@@ -216,6 +222,22 @@ struct SwitchState {
     /// link and switch windows overlapping on a shared endpoint, so a
     /// nonzero value is unambiguous.
     switch_down_depth: Vec<u8>,
+}
+
+// Routing rejects radices above `MAX_PORTS`, so every input port has a
+// bit in `SwitchState::occupied_inputs`.
+const _: () = assert!(MAX_PORTS <= u128::BITS as usize);
+
+impl SwitchState {
+    /// The occupancy index recomputed from the buffers themselves; equal
+    /// to `occupied_inputs` whenever the index is current.
+    fn occupancy_from_buffers(&self) -> u128 {
+        self.inputs
+            .iter()
+            .enumerate()
+            .filter(|(_, ip)| ip.vls.iter().any(|b| !b.is_empty()))
+            .fold(0, |m, (p, _)| m | 1 << p)
+    }
 }
 
 struct HostState {
@@ -397,6 +419,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     sl2vl: SlToVlTable::identity(topo.ports_per_switch(), config.data_vls)?,
                     arb_pending: false,
                     rr_cursor: 0,
+                    occupied_inputs: 0,
                     link_up: vec![true; ports],
                     down_depth: vec![0; ports],
                     switch_down_depth: vec![0; ports],
@@ -1696,8 +1719,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 r.note_progress(sw, port.index(), vl.index(), now);
             }
         }
-        let handle =
-            self.switches[sw.index()].inputs[port.index()].vls[vl.index()].push(packet, ready_at);
+        let st = &mut self.switches[sw.index()];
+        let handle = st.inputs[port.index()].vls[vl.index()].push(packet, ready_at);
+        st.occupied_inputs |= 1 << port.index();
         let ent = self.ent_switch(sw);
         self.sched(
             ready_at,
@@ -1743,9 +1767,14 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         vl: VirtualLane,
         handle: SlotHandle,
     ) {
-        let removed = self.switches[sw.index()].inputs[port.index()].vls[vl.index()]
+        let st = &mut self.switches[sw.index()];
+        let input = &mut st.inputs[port.index()];
+        let removed = input.vls[vl.index()]
             .remove_at(handle)
             .expect("tx-done packet still buffered");
+        if input.vls.iter().all(VlBuffer::is_empty) {
+            st.occupied_inputs &= !(1 << port.index());
+        }
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(
                 Some(sw),
@@ -1859,16 +1888,38 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         grants
     }
 
-    /// One arbitration pass: repeatedly grant feasible (input, output)
-    /// matches until no further progress, with a round-robin cursor over
-    /// input ports for fairness. Returns the number of grants made.
+    /// One arbitration pass: round-robin sweeps over the input ports that
+    /// hold packets (the occupancy index), starting at `rr_cursor`, each
+    /// granting at most one packet per input. Skipping an empty input has
+    /// no side effect — no RNG draw, stall count, recorder event or
+    /// `vl_cursor` move — so the grant sequence is that of a sweep over
+    /// every port. Returns the number of grants made.
+    ///
+    /// Sweeps repeat until one grants nothing. A grant only consumes
+    /// resources (the output goes busy, credits are spent, the input's
+    /// read path goes busy), so a repeat sweep never grants. It stays
+    /// because telemetry stall counts (published in
+    /// `results/telemetry.json`) and recorder blocked-records are taken
+    /// in it, and its `rr_cursor` step shapes later grant orders.
     fn arbitrate(&mut self, now: SimTime, sw: SwitchId) -> usize {
         let nports = self.topo.ports_per_switch() as usize;
         let mut grants = 0;
+        let mut repeat = false;
         loop {
+            let st = &self.switches[sw.index()];
+            debug_assert_eq!(
+                st.occupied_inputs,
+                st.occupancy_from_buffers(),
+                "{sw:?}: occupancy index disagrees with the buffers"
+            );
+            let rr = st.rr_cursor;
+            // Rotate so the cursor's port is bit 0: ascending bits then
+            // visit rr, rr + 1, …, nports - 1, 0, …, rr - 1.
+            let mut pending = st.occupied_inputs.rotate_right(rr as u32);
             let mut progress = false;
-            for k in 0..nports {
-                let ip = (self.switches[sw.index()].rr_cursor + k) % nports;
+            while pending != 0 {
+                let ip = (pending.trailing_zeros() as usize + rr) % u128::BITS as usize;
+                pending &= pending - 1;
                 if self.switches[sw.index()].inputs[ip].read_busy_until > now {
                     continue;
                 }
@@ -1878,11 +1929,16 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     grants += 1;
                 }
             }
+            debug_assert!(!(repeat && progress), "{sw:?}: a repeat sweep granted");
             let st = &mut self.switches[sw.index()];
-            st.rr_cursor = (st.rr_cursor + 1) % nports;
+            st.rr_cursor += 1;
+            if st.rr_cursor == nports {
+                st.rr_cursor = 0;
+            }
             if !progress {
                 break;
             }
+            repeat = true;
         }
         grants
     }
@@ -1927,7 +1983,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                         self.decision_options = scratch;
                     }
                     // Advance the VL cursor past the served lane.
-                    self.switches[sw.index()].inputs[ip].vl_cursor = (vl + 1) % nvls;
+                    self.switches[sw.index()].inputs[ip].vl_cursor =
+                        if vl + 1 == nvls { 0 } else { vl + 1 };
                     return Some(d);
                 }
                 if record && !scratch.is_empty() {
@@ -2358,10 +2415,19 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     }
 
     /// Credit-audit lines for one switch (see `Network::credit_audit`);
-    /// ports masked by an open fault window are skipped.
+    /// ports masked by an open fault window are skipped. A stale
+    /// occupancy index is reported too: it would make arbitration skip
+    /// a buffered input.
     pub(crate) fn audit_switch_into(&self, si: usize, out: &mut Vec<String>) {
         let cap = self.config.vl_buffer_credits;
         let sw = &self.switches[si];
+        let buffered = sw.occupancy_from_buffers();
+        if sw.occupied_inputs != buffered {
+            out.push(format!(
+                "switch {si}: occupancy index {:#x}, buffered inputs {buffered:#x}",
+                sw.occupied_inputs
+            ));
+        }
         for (p, op) in sw.outputs.iter().enumerate() {
             if !sw.link_up[p] {
                 continue;
